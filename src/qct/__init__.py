@@ -4,7 +4,9 @@ Sentences built from atoms with negation, square-root negation and
 (ternary) conjunction are interpreted as quregisters; this package
 parses them, unfolds their syntactic trees, compiles the trees into
 gate layers, evaluates them under qubit models, and searches for
-countermodels.
+countermodels.  The names below cover the library example in the
+README; everything else is imported from the submodules (`lang`,
+`syntree`, `qtree`, `qcore`, `semantics`, `cli`).
 """
 
 from .errors import (
@@ -17,70 +19,8 @@ from .errors import (
     SamplerStuck,
     UnboundAtom,
 )
-from .lang import (
-    FALSITY,
-    Atom,
-    Conj3,
-    Falsity,
-    Neg,
-    Sentence,
-    SqrtNeg,
-    atom_names,
-    atomic_complexity,
-    atoms_of,
-    parse,
-    pretty,
-)
-from .qcore import (
-    EPS_NORM,
-    EPS_PROB,
-    EPS_VEC,
-    KET0,
-    KET1,
-    GateTag,
-    Identity1,
-    Not,
-    QRegister,
-    SqrtNot,
-    Toffoli,
-    and_op,
-    apply_gate,
-    apply_not,
-    apply_sqrt_not,
-    apply_toffoli,
-    basis_state,
-    dense_matrix,
-    dense_oracle_apply,
-    n_max,
-    or_op,
-    prob,
-    qubit,
-    set_n_max,
-    tensor,
-)
-from .qtree import (
-    Layer,
-    QuantumTree,
-    circuit_from_json,
-    circuit_to_json,
-    compile_tree,
-    input_state,
-    run,
-    run_with_trace,
-)
-from .semantics import (
-    EMPTY_MODEL,
-    ModelSampler,
-    QubModel,
-    check_no_boolean_sqrt_not,
-    consequence_in_model,
-    evaluate,
-    is_true,
-    model_from_json,
-    model_to_json,
-    sample_model,
-    search_countermodel,
-)
-from .syntree import SyntacticTree, build_tree, height, render_tree
+from .lang import parse
+from .qcore import prob, qubit
+from .semantics import QubModel, evaluate
 
 __version__ = "0.1.0"

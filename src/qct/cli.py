@@ -11,6 +11,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import lang, qcore, qtree, semantics, syntree
 from .errors import CapacityExceeded, ModelError, ParseError, UnboundAtom
 
@@ -38,17 +40,18 @@ def _amp_lines(psi: qcore.QRegister) -> list[str]:
 
 
 def _emit_json(obj: object) -> None:
-    print(json.dumps(obj, indent=2))
+    # streamed, so a large circuit's text is never held in memory whole
+    json.dump(obj, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _gate_text(gate: qcore.GateTag) -> str:
+    name = qtree.GATE_NAMES[type(gate)]
     if isinstance(gate, qcore.Identity1):
-        return "I"
-    if isinstance(gate, qcore.Not):
-        return f"NOT({gate.r})"
-    if isinstance(gate, qcore.SqrtNot):
-        return f"SNOT({gate.r})"
-    return f"T({gate.r},{gate.s})"
+        return name
+    if isinstance(gate, qcore.Toffoli):
+        return f"{name}({gate.r},{gate.s})"
+    return f"{name}({gate.r})"
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -72,7 +75,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(
             {
-                "levels": [[lang.pretty(node) for node in lv] for lv in tree.levels],
+                "levels": tree.fold_levels(lang.pretty_step),
                 "height": tree.height,
             }
         )
@@ -101,9 +104,20 @@ def _load_model(path: str | None) -> semantics.QubModel:
             data = json.load(fh)
     except OSError as exc:
         raise ModelError(f"cannot read model file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"model file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelError(f"model file is not valid JSON: {exc}") from exc
     return semantics.model_from_json(data)
+
+
+def _check_capacity(s: lang.Sentence) -> None:
+    """Refuse, before any evaluation, a sentence wider than the capacity."""
+    n = lang.atomic_complexity(s)
+    if n > qcore.n_max():
+        raise CapacityExceeded(
+            f"sentence needs n={n} qubits, exceeding the n_max={qcore.n_max()} limit"
+        )
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -116,6 +130,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         return 2
     m = _load_model(args.model)
+    _check_capacity(s)
     value = semantics.evaluate(s, m)
     p = qcore.prob(value)
     truth = abs(p - 1.0) <= qcore.EPS_PROB
@@ -123,7 +138,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     tree = syntree.build_tree(s)
     qt = qtree.compile_tree(tree)
     trace = qtree.run_with_trace(qt, qtree.input_state(tree, m))
-    deviation = float(max(abs(trace[-1].amps - value.amps)))
+    deviation = float(np.max(np.abs(trace[-1].amps - value.amps)))
 
     if args.json:
         out: dict = {
@@ -165,6 +180,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_refute(args: argparse.Namespace) -> int:
     a = lang.parse(args.sentence)
     b = lang.parse(args.then) if args.then is not None else None
+    _check_capacity(a)
+    if b is not None:
+        _check_capacity(b)
     sampler = semantics.ModelSampler(seed=args.seed, delta=args.delta)
     found = semantics.search_countermodel(a, b, trials=args.trials, sampler=sampler)
 

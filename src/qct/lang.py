@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .errors import ParseError, ReservedName
 
@@ -75,9 +76,7 @@ class Conj3:
 
 Sentence = Atom | Falsity | Neg | SqrtNeg | Conj3
 
-
-def is_atomic(s: Sentence) -> bool:
-    return isinstance(s, (Atom, Falsity))
+R = TypeVar("R")
 
 
 def conj(a: Sentence, b: Sentence) -> Sentence:
@@ -171,36 +170,67 @@ def parse(text: str) -> Sentence:
     return out
 
 
-def _unary_arg(s: Sentence) -> str:
-    return f"({pretty(s)})" if isinstance(s, Conj3) else pretty(s)
+def children(s: Sentence) -> tuple[Sentence, ...]:
+    """Immediate subsentences in order; () for an atomic sentence."""
+    if isinstance(s, Conj3):
+        return (s.left, s.right, s.third)
+    if isinstance(s, (Neg, SqrtNeg)):
+        return (s.body,)
+    if isinstance(s, (Atom, Falsity)):
+        return ()
+    raise TypeError(f"not a sentence: {s!r}")
+
+
+def fold(s: Sentence, combine: Callable[[Sentence, tuple], R]) -> R:
+    """Post-order walk of s without recursion.
+
+    combine(node, parts) gets the results for node's children, in
+    order; each result is dropped once its parent has used it.
+    """
+    results: list = []
+    stack = [(s, children(s), 0)]
+    while stack:
+        node, kids, base = stack[-1]
+        done = len(results) - base
+        if done < len(kids):
+            kid = kids[done]
+            grandkids = children(kid)
+            if grandkids:
+                stack.append((kid, grandkids, len(results)))
+            else:  # a leaf needs no stack frame
+                results.append(combine(kid, ()))
+        else:
+            stack.pop()
+            parts = tuple(results[base:])
+            del results[base:]
+            results.append(combine(node, parts))
+    return results[0]
+
+
+def _leaf_text(s: Sentence) -> str:
+    return s.name if isinstance(s, Atom) else "f"
+
+
+def pretty_step(s: Sentence, parts: tuple[str, ...]) -> str:
+    """fold step of `pretty`: a node's text from its children's texts."""
+    if not parts:
+        return _leaf_text(s)
+    if isinstance(s, Conj3):
+        # left association makes parens on the left child redundant
+        left, right, _ = parts
+        return f"{left} and ({right})" if isinstance(s.right, Conj3) else f"{left} and {right}"
+    word = "not" if isinstance(s, Neg) else "snot"
+    return f"{word} ({parts[0]})" if isinstance(s.body, Conj3) else f"{word} {parts[0]}"
 
 
 def pretty(s: Sentence) -> str:
     """Minimal-parenthesis rendering; parse(pretty(s)) returns s."""
-    if isinstance(s, Atom):
-        return s.name
-    if isinstance(s, Falsity):
-        return "f"
-    if isinstance(s, Neg):
-        return f"not {_unary_arg(s.body)}"
-    if isinstance(s, SqrtNeg):
-        return f"snot {_unary_arg(s.body)}"
-    if isinstance(s, Conj3):
-        # left association makes parens on the left child redundant
-        right = f"({pretty(s.right)})" if isinstance(s.right, Conj3) else pretty(s.right)
-        return f"{pretty(s.left)} and {right}"
-    raise TypeError(f"not a sentence: {s!r}")
+    return fold(s, pretty_step)
 
 
 def atoms_of(s: Sentence) -> tuple[Sentence, ...]:
     """Leaf occurrences in left-to-right order, falsity included."""
-    if is_atomic(s):
-        return (s,)
-    if isinstance(s, (Neg, SqrtNeg)):
-        return atoms_of(s.body)
-    if isinstance(s, Conj3):
-        return atoms_of(s.left) + atoms_of(s.right) + atoms_of(s.third)
-    raise TypeError(f"not a sentence: {s!r}")
+    return fold(s, lambda node, parts: sum(parts, ()) if parts else (node,))
 
 
 def atomic_complexity(s: Sentence) -> int:
@@ -208,17 +238,7 @@ def atomic_complexity(s: Sentence) -> int:
 
     Equals the number of qubits the sentence's interpretation lives on.
     """
-    if is_atomic(s):
-        return 1
-    if isinstance(s, (Neg, SqrtNeg)):
-        return atomic_complexity(s.body)
-    if isinstance(s, Conj3):
-        return (
-            atomic_complexity(s.left)
-            + atomic_complexity(s.right)
-            + atomic_complexity(s.third)
-        )
-    raise TypeError(f"not a sentence: {s!r}")
+    return fold(s, lambda node, parts: sum(parts) if parts else 1)
 
 
 def atom_names(s: Sentence) -> set[str]:
@@ -228,36 +248,24 @@ def atom_names(s: Sentence) -> set[str]:
 
 def ast_text(s: Sentence) -> str:
     """Constructor-style rendering of the desugared core."""
-    if isinstance(s, Atom):
-        return s.name
-    if isinstance(s, Falsity):
-        return "f"
-    if isinstance(s, Neg):
-        return f"Neg({ast_text(s.body)})"
-    if isinstance(s, SqrtNeg):
-        return f"SqrtNeg({ast_text(s.body)})"
-    if isinstance(s, Conj3):
-        return f"Conj3({ast_text(s.left)}, {ast_text(s.right)}, f)"
-    raise TypeError(f"not a sentence: {s!r}")
+    return fold(
+        s, lambda n, parts: f"{type(n).__name__}({', '.join(parts)})" if parts else _leaf_text(n)
+    )
 
 
-def sentence_to_json(s: Sentence) -> dict:
-    """JSON-ready form of a sentence; inverse of sentence_from_json."""
+def _json_step(s: Sentence, parts: tuple[dict, ...]) -> dict:
     if isinstance(s, Atom):
         return {"kind": "atom", "name": s.name}
     if isinstance(s, Falsity):
         return {"kind": "falsity"}
-    if isinstance(s, Neg):
-        return {"kind": "not", "body": sentence_to_json(s.body)}
-    if isinstance(s, SqrtNeg):
-        return {"kind": "snot", "body": sentence_to_json(s.body)}
     if isinstance(s, Conj3):
-        return {
-            "kind": "and",
-            "left": sentence_to_json(s.left),
-            "right": sentence_to_json(s.right),
-        }
-    raise TypeError(f"not a sentence: {s!r}")
+        return {"kind": "and", "left": parts[0], "right": parts[1]}
+    return {"kind": "not" if isinstance(s, Neg) else "snot", "body": parts[0]}
+
+
+def sentence_to_json(s: Sentence) -> dict:
+    """JSON-ready form of a sentence; inverse of sentence_from_json."""
+    return fold(s, _json_step)
 
 
 def sentence_from_json(data: object) -> Sentence:

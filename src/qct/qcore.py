@@ -7,26 +7,21 @@ a register is the weight on odd indices (last qubit equal to 1), which
 is why every connective gate here targets last qubits.
 
 Gates are applied by index arithmetic on the amplitude array, never by
-building a 2^n x 2^n matrix.  `dense_matrix` and `dense_oracle_apply`
-reconstruct the same gates as explicit matrices and exist purely as a
-small-scale cross-check.
+building a 2^n x 2^n matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ArityMismatch, CapacityExceeded
 
 EPS_NORM = 1e-9
-EPS_VEC = 1e-9
 EPS_PROB = 1e-9
 
 DEFAULT_N_MAX = 24
-ORACLE_N_MAX = 10
 
 _n_max = DEFAULT_N_MAX
 
@@ -71,7 +66,7 @@ class QRegister:
                 f"expected {1 << self.n} amplitudes for n={self.n}, got shape {arr.shape}"
             )
         norm2 = float(np.sum(arr.real**2 + arr.imag**2))
-        if abs(norm2 - 1.0) > EPS_NORM:
+        if not abs(norm2 - 1.0) <= EPS_NORM:  # NaN and inf fail too
             raise ValueError(f"amplitudes are not unit norm: |psi|^2 = {norm2!r}")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -235,16 +230,6 @@ def apply_sqrt_not(psi: QRegister) -> QRegister:
     return apply_gate(psi, SqrtNot(psi.n))
 
 
-def apply_toffoli(psi: QRegister, r: int, s: int) -> QRegister:
-    """Petri-Toffoli gate on a register of exactly r + s + 1 qubits."""
-    gate = Toffoli(r, s)
-    if psi.n != gate.arity:
-        raise ArityMismatch(
-            f"Toffoli({r},{s}) needs n={gate.arity}, register has n={psi.n}"
-        )
-    return apply_gate(psi, gate)
-
-
 def and_op(psi: QRegister, phi: QRegister) -> QRegister:
     """Conjunction: Toffoli applied to psi (x) phi (x) |0>.
 
@@ -256,12 +241,7 @@ def and_op(psi: QRegister, phi: QRegister) -> QRegister:
             f"conjunction of n={psi.n} and n={phi.n} needs {psi.n + phi.n + 1} "
             f"qubits, exceeding the n_max={_n_max} limit"
         )
-    return apply_toffoli(tensor(tensor(psi, phi), KET0), psi.n, phi.n)
-
-
-def or_op(psi: QRegister, phi: QRegister) -> QRegister:
-    """Disjunction via De Morgan: NOT(AND(NOT psi, NOT phi))."""
-    return apply_not(and_op(apply_not(psi), apply_not(phi)))
+    return apply_gate(tensor(tensor(psi, phi), KET0), Toffoli(psi.n, phi.n))
 
 
 def prob(psi: QRegister) -> float:
@@ -272,39 +252,3 @@ def prob(psi: QRegister) -> float:
     odd = psi.amps[1::2]
     p = float(np.sum(odd.real**2 + odd.imag**2))
     return min(max(p, 0.0), 1.0)
-
-
-def dense_matrix(gate: GateTag) -> np.ndarray:
-    """Explicit 2^arity x 2^arity matrix of a gate tag (oracle use)."""
-    if isinstance(gate, Identity1):
-        return np.eye(2, dtype=np.complex128)
-    dim = 1 << gate.arity
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    if isinstance(gate, Not):
-        for col in range(dim):
-            m[col ^ 1, col] = 1.0
-    elif isinstance(gate, SqrtNot):
-        for col in range(dim):
-            m[col, col] = _HALF_PLUS
-            m[col ^ 1, col] = _HALF_MINUS
-    elif isinstance(gate, Toffoli):
-        c1, c2 = gate.s + 1, 1
-        for col in range(dim):
-            row = col ^ ((col >> c1) & (col >> c2) & 1)
-            m[row, col] = 1.0
-    else:
-        raise TypeError(f"unknown gate tag: {gate!r}")
-    return m
-
-
-def dense_oracle_apply(psi: QRegister, gate: GateTag) -> QRegister:
-    """Apply a gate by dense matrix multiplication.  Oracle scale only."""
-    if psi.n > ORACLE_N_MAX:
-        raise CapacityExceeded(
-            f"dense oracle is limited to n <= {ORACLE_N_MAX}, got n={psi.n}"
-        )
-    if gate.arity != psi.n:
-        raise ArityMismatch(
-            f"gate of arity {gate.arity} applied to register of n={psi.n}"
-        )
-    return QRegister(psi.n, dense_matrix(gate) @ psi.amps)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArityMismatch
-from .lang import Atom, Conj3, Neg, Sentence, SqrtNeg, atomic_complexity, is_atomic
+from .lang import Atom, Conj3, Neg, Sentence
 from .qcore import (
     KET0,
     GateTag,
@@ -67,25 +67,23 @@ class QuantumTree:
                 )
 
 
-def _operator_for(node: Sentence) -> GateTag:
-    if is_atomic(node):
-        return Identity1()
-    if isinstance(node, Neg):
-        return Not(atomic_complexity(node.body))
-    if isinstance(node, SqrtNeg):
-        return SqrtNot(atomic_complexity(node.body))
+def _width_and_gate(node: Sentence, parts: tuple) -> tuple[int, GateTag]:
+    """A node's atomic complexity and operator, from its children's widths."""
+    if not parts:
+        return 1, Identity1()
     if isinstance(node, Conj3):
-        return Toffoli(atomic_complexity(node.left), atomic_complexity(node.right))
-    raise TypeError(f"not a sentence: {node!r}")
+        (r, _), (s, _), (t, _) = parts
+        return r + s + t, Toffoli(r, s)
+    ((r, _),) = parts
+    return r, (Not(r) if isinstance(node, Neg) else SqrtNot(r))
 
 
 def compile_tree(tree: SyntacticTree) -> QuantumTree:
     """Apply the operator rule to every level except the last."""
-    layers = tuple(
-        Layer(tuple(_operator_for(node) for node in level))
-        for level in tree.levels[:-1]
-    )
-    return QuantumTree(atomic_complexity(tree.root), layers)
+    levels = tree.fold_levels(_width_and_gate)
+    ((n, _),) = levels[0]
+    layers = tuple(Layer(tuple(gate for _, gate in level)) for level in levels[:-1])
+    return QuantumTree(n, layers)
 
 
 def input_state(tree: SyntacticTree, m: QubModel) -> QRegister:
@@ -130,15 +128,14 @@ def run_with_trace(qt: QuantumTree, input: QRegister) -> list[QRegister]:
     return states
 
 
-_GATE_NAMES = {Identity1: "I", Not: "NOT", SqrtNot: "SNOT", Toffoli: "T"}
+GATE_NAMES = {Identity1: "I", Not: "NOT", SqrtNot: "SNOT", Toffoli: "T"}
 
 
 def _gate_to_json(gate: GateTag) -> dict:
+    name = GATE_NAMES[type(gate)]
     if isinstance(gate, Toffoli):
-        return {"gate": "T", "r": gate.r, "s": gate.s}
-    if isinstance(gate, Identity1):
-        return {"gate": "I", "r": 1}
-    return {"gate": _GATE_NAMES[type(gate)], "r": gate.r}
+        return {"gate": name, "r": gate.r, "s": gate.s}
+    return {"gate": name, "r": gate.arity}
 
 
 def circuit_to_json(qt: QuantumTree) -> dict:

@@ -11,8 +11,11 @@ occurrences in order.  Height counts the levels, root included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
-from .lang import Conj3, Neg, Sentence, SqrtNeg, atoms_of, is_atomic, pretty
+from .lang import Sentence, atoms_of, children, pretty_step
+
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -29,36 +32,41 @@ class SyntacticTree:
     def root(self) -> Sentence:
         return self.levels[0][0]
 
+    def fold_levels(self, combine: Callable[[Sentence, tuple], R]) -> list[list[R]]:
+        """A value for every node of every level, root level first.
 
-def _unfold(node: Sentence) -> tuple[Sentence, ...]:
-    if is_atomic(node):
-        return (node,)
-    if isinstance(node, (Neg, SqrtNeg)):
-        return (node.body,)
-    if isinstance(node, Conj3):
-        return (node.left, node.right, node.third)
-    raise TypeError(f"not a sentence: {node!r}")
+        Values are computed bottom-up, each node's once from the values
+        of its children on the level below: combine(node, parts).  An
+        atomic node above the last level carries its value down
+        unchanged.
+        """
+        below = [combine(leaf, ()) for leaf in self.levels[-1]]
+        out = [below]
+        for level in reversed(self.levels[:-1]):
+            values, i = [], 0
+            for node in level:
+                k = len(children(node))
+                values.append(combine(node, tuple(below[i : i + k])) if k else below[i])
+                i += k or 1
+            out.append(values)
+            below = values
+        out.reverse()
+        return out
 
 
 def build_tree(s: Sentence) -> SyntacticTree:
     """Unfold s level by level until every node is atomic."""
     levels = [(s,)]
-    while not all(is_atomic(node) for node in levels[-1]):
-        levels.append(tuple(child for node in levels[-1] for child in _unfold(node)))
+    while any(map(children, levels[-1])):
+        levels.append(tuple(kid for node in levels[-1] for kid in children(node) or (node,)))
     tree = SyntacticTree(tuple(levels))
     assert tree.levels[-1] == atoms_of(s)
     return tree
 
 
-def height(tree: SyntacticTree) -> int:
-    """Number of levels, root included."""
-    return tree.height
-
-
 def render_tree(tree: SyntacticTree) -> str:
     """One line per level, root first, nodes pretty-printed."""
-    lines = []
-    for i, level in enumerate(tree.levels, start=1):
-        nodes = ", ".join(pretty(node) for node in level)
-        lines.append(f"Level {i}: ({nodes})")
-    return "\n".join(lines)
+    return "\n".join(
+        f"Level {i}: ({', '.join(level)})"
+        for i, level in enumerate(tree.fold_levels(pretty_step), start=1)
+    )

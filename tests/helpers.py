@@ -2,7 +2,8 @@
 
 The dense-matrix route, the Boolean truth-table evaluator and the
 per-level tensor states are deliberately written from the definitions,
-independent of the structural implementations they check.
+independent of the structural implementations they check.  None of it
+is needed at run time, so it lives here rather than in the package.
 """
 
 from __future__ import annotations
@@ -14,13 +15,21 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qct import lang, qcore, semantics
+from qct.errors import ArityMismatch, CapacityExceeded
 from qct.lang import FALSITY, Atom, Conj3, Falsity, Neg, Sentence, SqrtNeg, conj, disj
-from qct.qcore import QRegister
+from qct.qcore import GateTag, Identity1, Not, QRegister, SqrtNot, Toffoli, and_op, apply_not
 from qct.qtree import Layer
 from qct.semantics import ModelSampler, QubModel, sample_model
 from qct.syntree import SyntacticTree
 
 ATOM_POOL = ("p", "q", "r", "s")
+
+EPS_VEC = 1e-9  # amplitude-wise agreement between two routes to a state
+ORACLE_N_MAX = 10
+
+# (1 +- i)/2, the two entries of the square-root-of-NOT mixing matrix.
+_HALF_PLUS = 0.5 + 0.5j
+_HALF_MINUS = 0.5 - 0.5j
 
 
 @contextmanager
@@ -120,11 +129,52 @@ def connective_sentences(atoms: tuple[str, ...], depth: int) -> list[Sentence]:
     return list(out)
 
 
+def or_op(psi: QRegister, phi: QRegister) -> QRegister:
+    """Disjunction via De Morgan: NOT(AND(NOT psi, NOT phi))."""
+    return apply_not(and_op(apply_not(psi), apply_not(phi)))
+
+
+def dense_matrix(gate: GateTag) -> np.ndarray:
+    """Explicit 2^arity x 2^arity matrix of a gate tag (oracle use)."""
+    if isinstance(gate, Identity1):
+        return np.eye(2, dtype=np.complex128)
+    dim = 1 << gate.arity
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    if isinstance(gate, Not):
+        for col in range(dim):
+            m[col ^ 1, col] = 1.0
+    elif isinstance(gate, SqrtNot):
+        for col in range(dim):
+            m[col, col] = _HALF_PLUS
+            m[col ^ 1, col] = _HALF_MINUS
+    elif isinstance(gate, Toffoli):
+        c1, c2 = gate.s + 1, 1
+        for col in range(dim):
+            row = col ^ ((col >> c1) & (col >> c2) & 1)
+            m[row, col] = 1.0
+    else:
+        raise TypeError(f"unknown gate tag: {gate!r}")
+    return m
+
+
+def dense_oracle_apply(psi: QRegister, gate: GateTag) -> QRegister:
+    """Apply a gate by dense matrix multiplication.  Oracle scale only."""
+    if psi.n > ORACLE_N_MAX:
+        raise CapacityExceeded(
+            f"dense oracle is limited to n <= {ORACLE_N_MAX}, got n={psi.n}"
+        )
+    if gate.arity != psi.n:
+        raise ArityMismatch(
+            f"gate of arity {gate.arity} applied to register of n={psi.n}"
+        )
+    return QRegister(psi.n, dense_matrix(gate) @ psi.amps)
+
+
 def dense_layer_matrix(layer: Layer) -> np.ndarray:
     """Kronecker product of the layer's gate matrices."""
     m = np.eye(1, dtype=np.complex128)
     for gate in layer.ops:
-        m = np.kron(m, qcore.dense_matrix(gate))
+        m = np.kron(m, dense_matrix(gate))
     return m
 
 

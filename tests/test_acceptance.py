@@ -17,10 +17,12 @@ from helpers import (
     bool_eval,
     connective_sentences,
     definite_last_bit_state,
+    dense_oracle_apply,
     haar_state,
     level_state,
     max_amp_diff,
     model_for,
+    or_op,
     random_sentence,
 )
 from qct.lang import atom_names, atomic_complexity, conj, disj, parse
@@ -35,8 +37,6 @@ from qct.qcore import (
     apply_gate,
     apply_not,
     apply_sqrt_not,
-    dense_oracle_apply,
-    or_op,
     prob,
     qubit,
 )

@@ -1,5 +1,7 @@
 """Command behaviours, exit codes, and output determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -190,6 +192,25 @@ def test_eval_missing_model_file(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("amp", ["NaN", "Infinity"])
+def test_eval_rejects_non_finite_model_entry(capsys, tmp_path, amp):
+    path = tmp_path / "model.json"
+    path.write_text('{"atoms": {"p": [[%s, 0.0], [0.0, 0.0]]}}' % amp)
+    code, out, err = run_cli(capsys, "eval", "p and p", "--model", str(path))
+    assert code == 4
+    assert out == ""
+    assert "unit norm" in err
+
+
+def test_eval_rejects_non_utf8_model_file(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"atoms": {"p": [[1.0, 0.0], [0.0, 0.0]]}}\xff')
+    code, out, err = run_cli(capsys, "eval", "p", "--model", str(path))
+    assert code == 4
+    assert out == ""
+    assert "UTF-8" in err
+
+
 def test_refute_finds_countermodel(capsys):
     code, out, _ = run_cli(
         capsys, "refute", "not (p and not p)", "--trials", "50", "--delta", "0.05"
@@ -240,6 +261,31 @@ def test_capacity_exit_code(capsys, tmp_path):
     assert code == 3
     assert "n_max" in err
     assert qcore.n_max() == qcore.DEFAULT_N_MAX  # override does not leak
+
+
+CHAIN_1200 = " and ".join(["p"] * 1200)  # nested deeper than Python's recursion limit
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("compile", 0),
+        ("compile --json", 0),
+        ("tree", 0),
+        ("parse", 0),
+        ("eval", 3),
+        ("refute", 3),
+    ],
+)
+def test_long_chain_compiles_or_exceeds_capacity(command, expected):
+    # a StringIO, not capsys, which encodes each of the JSON encoder's millions of writes
+    out, err = io.StringIO(), io.StringIO()
+    name, *flags = command.split()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([name, CHAIN_1200, *flags])
+    assert code == expected
+    if expected == 3:
+        assert "n=2399" in err.getvalue()
 
 
 def test_n_max_env_fallback(capsys, tmp_path, monkeypatch):

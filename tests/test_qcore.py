@@ -8,10 +8,18 @@ odd indices carry the truth mass.
 import numpy as np
 import pytest
 
-from helpers import capacity_limit, definite_last_bit_state, haar_state, max_amp_diff
+from helpers import (
+    EPS_VEC,
+    capacity_limit,
+    definite_last_bit_state,
+    dense_matrix,
+    dense_oracle_apply,
+    haar_state,
+    max_amp_diff,
+    or_op,
+)
 from qct.errors import ArityMismatch, CapacityExceeded
 from qct.qcore import (
-    EPS_VEC,
     KET0,
     KET1,
     Identity1,
@@ -23,11 +31,7 @@ from qct.qcore import (
     apply_gate,
     apply_not,
     apply_sqrt_not,
-    apply_toffoli,
     basis_state,
-    dense_matrix,
-    dense_oracle_apply,
-    or_op,
     prob,
     qubit,
     tensor,
@@ -113,27 +117,27 @@ def test_sqrt_not_squares_to_not_on_random_states():
 
 def test_apply_toffoli_conjoins_control_bits():
     inp = tensor(tensor(BALANCED, KET1), KET0)
-    out = apply_toffoli(inp, 1, 1)
+    out = apply_gate(inp, Toffoli(1, 1))
     # (|010> + |110>)/sqrt2 -> (|010> + |111>)/sqrt2
     expected = np.zeros(8, dtype=complex)
     expected[2] = INV_SQRT2
     expected[7] = INV_SQRT2
     assert np.allclose(out.amps, expected, atol=1e-12)
-    assert np.argmax(apply_toffoli(basis_state(1, 1, 0), 1, 1).amps) == 7
-    assert np.argmax(apply_toffoli(basis_state(1, 0, 0), 1, 1).amps) == 4
+    assert np.argmax(apply_gate(basis_state(1, 1, 0), Toffoli(1, 1)).amps) == 7
+    assert np.argmax(apply_gate(basis_state(1, 0, 0), Toffoli(1, 1)).amps) == 4
 
 
 def test_apply_toffoli_checks_width():
     with pytest.raises(ArityMismatch):
-        apply_toffoli(basis_state(0, 0), 1, 1)
+        apply_gate(basis_state(0, 0), Toffoli(1, 1))
 
 
 def test_toffoli_controls_are_block_last_qubits():
     # r=2, s=1: controls are qubit 2 (of the first block) and qubit 3
     psi = basis_state(0, 1, 1, 0)
-    assert np.argmax(apply_toffoli(psi, 2, 1).amps) == 0b0111
+    assert np.argmax(apply_gate(psi, Toffoli(2, 1)).amps) == 0b0111
     psi = basis_state(1, 0, 1, 0)
-    assert np.argmax(apply_toffoli(psi, 2, 1).amps) == 0b1010
+    assert np.argmax(apply_gate(psi, Toffoli(2, 1)).amps) == 0b1010
 
 
 def test_and_op_examples():

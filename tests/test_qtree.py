@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import (
+    EPS_VEC,
     dense_layer_matrix,
     level_state,
     max_amp_diff,
@@ -18,7 +19,6 @@ from helpers import (
 from qct.errors import ArityMismatch, UnboundAtom
 from qct.lang import Atom, parse
 from qct.qcore import (
-    EPS_VEC,
     KET1,
     Identity1,
     Not,

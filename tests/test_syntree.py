@@ -10,10 +10,10 @@ from qct.lang import (
     SqrtNeg,
     atomic_complexity,
     atoms_of,
-    is_atomic,
+    children,
     parse,
 )
-from qct.syntree import build_tree, height, render_tree
+from qct.syntree import build_tree, render_tree
 
 P, Q = Atom("p"), Atom("q")
 
@@ -26,7 +26,7 @@ def test_worked_example_levels():
         (P, P, FALSITY),
     )
     assert tree.height == 3
-    assert height(tree) == 3
+    assert tree.height == 3
 
 
 def test_atomic_sentence_is_its_own_tree():
@@ -62,16 +62,16 @@ def test_render_tree_lines():
 def test_tree_invariants(s):
     tree = build_tree(s)
     assert tree.levels[0] == (s,)
-    assert all(is_atomic(node) for node in tree.levels[-1])
+    assert all(not children(node) for node in tree.levels[-1])
     assert tree.levels[-1] == atoms_of(s)
     for level in tree.levels[:-1]:
-        assert any(not is_atomic(node) for node in level)
+        assert any(children(node) for node in level)
 
 
 @given(sentence_strategy())
 def test_height_bounds(s):
     tree = build_tree(s)
-    assert (tree.height == 1) == is_atomic(s)
+    assert (tree.height == 1) == (not children(s))
     assert tree.height <= 1 + ast_depth(s)
 
 
