@@ -137,8 +137,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     tree = syntree.build_tree(s)
     qt = qtree.compile_tree(tree)
-    trace = qtree.run_with_trace(qt, qtree.input_state(tree, m))
-    deviation = float(np.max(np.abs(trace[-1].amps - value.amps)))
+    # Per level, input first: its probability, and its state only when
+    # the amplitudes are printed.  A plain eval keeps no level at all.
+    trace: list[tuple[float, qcore.QRegister | None]] = []
+
+    def keep(state: qcore.QRegister) -> None:
+        trace.append((qcore.prob(state), state if args.amplitudes else None))
+
+    final = qtree.run(qt, qtree.input_state(tree, m), keep if args.trace else None)
+    deviation = float(np.max(np.abs(final.amps - value.amps)))
 
     if args.json:
         out: dict = {
@@ -150,8 +157,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         }
         if args.trace:
             entries = []
-            for i, state in enumerate(trace):
-                entry: dict = {"level": tree.height - i, "prob": qcore.prob(state)}
+            for i, (level_p, state) in enumerate(trace):
+                entry: dict = {"level": tree.height - i, "prob": level_p}
                 if args.amplitudes:
                     entry["amps"] = _amps_json(state)
                 entries.append(entry)
@@ -165,8 +172,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"Circuit vs recursive eval, max deviation: {_sig(deviation)}")
         if args.trace:
             print("Trace:")
-            for i, state in enumerate(trace):
-                print(f"  L{tree.height - i}: Prob {_sig(qcore.prob(state))}")
+            for i, (level_p, state) in enumerate(trace):
+                print(f"  L{tree.height - i}: Prob {_sig(level_p)}")
                 if args.amplitudes:
                     for line in _amp_lines(state):
                         print(f"  {line}")

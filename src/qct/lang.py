@@ -164,7 +164,10 @@ class _Parser:
 def parse(text: str) -> Sentence:
     """Parse sentence text into the desugared core."""
     p = _Parser(text)
-    out = p.or_expr()
+    try:
+        out = p.or_expr()
+    except RecursionError:
+        raise ParseError("sentence nested too deeply", p.here()) from None
     if p.peek() is not None:
         raise ParseError(f"unexpected {p.peek()!r} after sentence", p.here())
     return out

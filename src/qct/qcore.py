@@ -6,8 +6,9 @@ register is the LEAST significant bit of the index.  The truth mass of
 a register is the weight on odd indices (last qubit equal to 1), which
 is why every connective gate here targets last qubits.
 
-Gates are applied by index arithmetic on the amplitude array, never by
-building a 2^n x 2^n matrix.
+Gates are applied through reshaped views of the amplitude array, never
+by building a 2^n x 2^n matrix or an index array.  Each gate step writes
+one fresh array and checks it once, without copying it again.
 """
 
 from __future__ import annotations
@@ -56,21 +57,35 @@ class QRegister:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"register needs at least 1 qubit, got n={self.n}")
-        if self.n > _n_max:
-            raise CapacityExceeded(f"n={self.n} exceeds the n_max={_n_max} limit")
-        arr = np.asarray(self.amps, dtype=np.complex128)
-        if arr.shape != (1 << self.n,):
-            raise ValueError(
-                f"expected {1 << self.n} amplitudes for n={self.n}, got shape {arr.shape}"
-            )
-        norm2 = float(np.sum(arr.real**2 + arr.imag**2))
-        if not abs(norm2 - 1.0) <= EPS_NORM:  # NaN and inf fail too
-            raise ValueError(f"amplitudes are not unit norm: |psi|^2 = {norm2!r}")
+        object.__setattr__(self, "amps", _checked(self.n, self.amps, copy=True))
+
+    @classmethod
+    def _owned(cls, n: int, arr: np.ndarray) -> QRegister:
+        """Register over an array a kernel has just made: checked, not copied."""
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "n", n)
+        object.__setattr__(psi, "amps", _checked(n, arr, copy=False))
+        return psi
+
+
+def _checked(n: int, amps: object, copy: bool) -> np.ndarray:
+    """Read-only complex amplitudes for n qubits, of finite unit norm."""
+    if n < 1:
+        raise ValueError(f"register needs at least 1 qubit, got n={n}")
+    if n > _n_max:
+        raise CapacityExceeded(f"n={n} exceeds the n_max={_n_max} limit")
+    arr = np.asarray(amps, dtype=np.complex128)
+    if arr.shape != (1 << n,):
+        raise ValueError(
+            f"expected {1 << n} amplitudes for n={n}, got shape {arr.shape}"
+        )
+    norm2 = float(np.vdot(arr, arr).real)
+    if not abs(norm2 - 1.0) <= EPS_NORM:  # NaN and inf fail too
+        raise ValueError(f"amplitudes are not unit norm: |psi|^2 = {norm2!r}")
+    if copy:
         arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "amps", arr)
+    arr.setflags(write=False)
+    return arr
 
 
 def basis_state(*bits: int) -> QRegister:
@@ -169,13 +184,16 @@ def tensor(a: QRegister, b: QRegister) -> QRegister:
         raise CapacityExceeded(
             f"tensor of n={a.n} and n={b.n} exceeds the n_max={_n_max} limit"
         )
-    return QRegister(a.n + b.n, np.kron(a.amps, b.amps))
+    return QRegister._owned(a.n + b.n, np.kron(a.amps, b.amps))
 
 
 def _flip_bit(amps: np.ndarray, t: int) -> np.ndarray:
     """Permutation that inverts bit t (counted from the LSB)."""
-    out = amps.reshape(-1, 2, 1 << t)[:, ::-1, :]
-    return out.reshape(-1).copy()
+    # written into a fresh array: at n=1 flattening the reversed view
+    # would return a view of the input, not a copy
+    out = np.empty_like(amps)
+    out.reshape(-1, 2, 1 << t)[:] = amps.reshape(-1, 2, 1 << t)[:, ::-1, :]
+    return out
 
 
 def _mix_bit(amps: np.ndarray, t: int) -> np.ndarray:
@@ -187,11 +205,15 @@ def _mix_bit(amps: np.ndarray, t: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _toffoli_bits(amps: np.ndarray, c1: int, c2: int, t: int) -> np.ndarray:
-    """Invert bit t exactly where bits c1 and c2 are both set."""
-    j = np.arange(amps.size)
-    both = (j >> c1) & (j >> c2) & 1
-    return amps[j ^ (both << t)]
+def _toffoli_bits(amps: np.ndarray, c1: int, c2: int) -> np.ndarray:
+    """Invert bit c2 - 1 exactly where bits c1 > c2 are both set."""
+    out = amps.copy()
+    # axes: rest, bit c1, bits between, bit c2, bit c2 - 1, bits below
+    v = out.reshape(-1, 2, 1 << (c1 - c2 - 1), 2, 2, 1 << (c2 - 1))[:, 1, :, 1]
+    low = v[:, :, 0].copy()
+    v[:, :, 0] = v[:, :, 1]
+    v[:, :, 1] = low
+    return out
 
 
 def apply_gate(psi: QRegister, gate: GateTag, offset: int = 0) -> QRegister:
@@ -209,14 +231,14 @@ def apply_gate(psi: QRegister, gate: GateTag, offset: int = 0) -> QRegister:
         return psi
     if isinstance(gate, Not):
         t = psi.n - offset - gate.r
-        return QRegister(psi.n, _flip_bit(psi.amps, t))
+        return QRegister._owned(psi.n, _flip_bit(psi.amps, t))
     if isinstance(gate, SqrtNot):
         t = psi.n - offset - gate.r
-        return QRegister(psi.n, _mix_bit(psi.amps, t))
+        return QRegister._owned(psi.n, _mix_bit(psi.amps, t))
     if isinstance(gate, Toffoli):
         c1 = psi.n - offset - gate.r
         c2 = psi.n - offset - gate.r - gate.s
-        return QRegister(psi.n, _toffoli_bits(psi.amps, c1, c2, c2 - 1))
+        return QRegister._owned(psi.n, _toffoli_bits(psi.amps, c1, c2))
     raise TypeError(f"unknown gate tag: {gate!r}")
 
 

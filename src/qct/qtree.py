@@ -14,6 +14,7 @@ sentence's interpretation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ArityMismatch
@@ -96,35 +97,37 @@ def input_state(tree: SyntacticTree, m: QubModel) -> QRegister:
     return state
 
 
-def _apply_layer(psi: QRegister, layer: Layer) -> QRegister:
-    if layer.width != psi.n:
-        raise ArityMismatch(
-            f"layer spans {layer.width} qubits, register has n={psi.n}"
-        )
-    offset = 0
-    for gate in layer.ops:
-        psi = apply_gate(psi, gate, offset)
-        offset += gate.arity
-    return psi
+def run(
+    qt: QuantumTree,
+    input: QRegister,
+    visit: Callable[[QRegister], object] | None = None,
+) -> QRegister:
+    """Execute the circuit: deepest layer first, layers[0] last.
 
-
-def run(qt: QuantumTree, input: QRegister) -> QRegister:
-    """Execute the circuit: deepest layer first, layers[0] last."""
+    `visit`, if given, sees the input and the state after each layer, so
+    a caller keeps only what it needs of the intermediate states.  Only
+    the state a gate reads and the one it writes are held here.
+    """
     if input.n != qt.n:
         raise ArityMismatch(f"circuit has n={qt.n}, input has n={input.n}")
     psi = input
-    for layer in reversed(qt.layers):
-        psi = _apply_layer(psi, layer)
+    del input  # so the input is freed once the first gate has replaced it
+    if visit is not None:
+        visit(psi)
+    for layer in reversed(qt.layers):  # every layer spans qt.n qubits
+        offset = 0
+        for gate in layer.ops:
+            psi = apply_gate(psi, gate, offset)
+            offset += gate.arity
+        if visit is not None:
+            visit(psi)
     return psi
 
 
 def run_with_trace(qt: QuantumTree, input: QRegister) -> list[QRegister]:
     """All intermediate states, input first, output last."""
-    if input.n != qt.n:
-        raise ArityMismatch(f"circuit has n={qt.n}, input has n={input.n}")
-    states = [input]
-    for layer in reversed(qt.layers):
-        states.append(_apply_layer(states[-1], layer))
+    states: list[QRegister] = []
+    run(qt, input, states.append)
     return states
 
 

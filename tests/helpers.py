@@ -170,6 +170,31 @@ def dense_oracle_apply(psi: QRegister, gate: GateTag) -> QRegister:
     return QRegister(psi.n, dense_matrix(gate) @ psi.amps)
 
 
+def reference_gate_amps(psi: QRegister, gate: GateTag, offset: int = 0) -> np.ndarray:
+    """apply_gate's amplitudes by the original index-arithmetic kernels.
+
+    The runtime kernels permute or mix through reshaped views; these are
+    the bodies they replaced, kept to pin the new ones bit for bit.
+    """
+    amps = psi.amps
+    if isinstance(gate, Identity1):
+        return amps
+    t = psi.n - offset - gate.r
+    if isinstance(gate, Not):
+        out = amps.reshape(-1, 2, 1 << t)[:, ::-1, :]
+        return out.reshape(-1).copy()
+    if isinstance(gate, SqrtNot):
+        v = amps.reshape(-1, 2, 1 << t)
+        out = np.empty_like(v)
+        out[:, 0, :] = _HALF_PLUS * v[:, 0, :] + _HALF_MINUS * v[:, 1, :]
+        out[:, 1, :] = _HALF_MINUS * v[:, 0, :] + _HALF_PLUS * v[:, 1, :]
+        return out.reshape(-1)
+    c1, c2 = t, t - gate.s
+    j = np.arange(amps.size)
+    both = (j >> c1) & (j >> c2) & 1
+    return amps[j ^ (both << (c2 - 1))]
+
+
 def dense_layer_matrix(layer: Layer) -> np.ndarray:
     """Kronecker product of the layer's gate matrices."""
     m = np.eye(1, dtype=np.complex128)

@@ -3,11 +3,12 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qct import qcore
+from qct import qcore, qtree, syntree
 from qct.cli import main
 from qct.lang import parse, sentence_from_json
 from qct.semantics import model_from_json
@@ -185,6 +186,7 @@ def test_eval_rejects_non_unit_model_entry(capsys, tmp_path):
     path = write_model(tmp_path, {"atoms": {"p": [[1.0, 0.0], [1.0, 0.0]]}})
     code, _, err = run_cli(capsys, "eval", "p", "--model", path)
     assert code == 4
+    assert "unit norm" in err
 
 
 def test_eval_missing_model_file(capsys, tmp_path):
@@ -209,6 +211,55 @@ def test_eval_rejects_non_utf8_model_file(capsys, tmp_path):
     assert code == 4
     assert out == ""
     assert "UTF-8" in err
+
+
+# Atcompl 17: a 2 MiB state, built by every kind of gate
+BALANCED_17 = "snot (((p and q) and (r and s)) and ((p and q) and not (r and (s and p))))"
+MIXED_MODEL = {"atoms": {a: [[0.6, 0.0], [0.0, 0.8]] for a in "pqrs"}}
+
+
+@pytest.mark.parametrize("flags", [[], ["--trace", "--json"]])
+def test_eval_peak_memory_is_a_small_multiple_of_the_state(capsys, tmp_path, flags):
+    path = write_model(tmp_path, MIXED_MODEL)
+    state_bytes = 16 << 17
+    tracemalloc.start()
+    try:
+        code = main(["eval", BALANCED_17, "--model", path, *flags])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak <= 6 * state_bytes
+
+
+def test_eval_trace_streams_the_same_level_probabilities(capsys, tmp_path):
+    path = write_model(tmp_path, MIXED_MODEL)
+    sentence = "snot (p and not q) or (snot r and (s and p))"
+    _, out, _ = run_cli(capsys, "eval", sentence, "--model", path, "--trace", "--json")
+    traced = json.loads(out)
+    _, out, _ = run_cli(capsys, "eval", sentence, "--model", path, "--json")
+    plain = json.loads(out)
+
+    tree = syntree.build_tree(parse(sentence))
+    m = model_from_json(MIXED_MODEL)
+    states = qtree.run_with_trace(qtree.compile_tree(tree), qtree.input_state(tree, m))
+    assert [t["prob"] for t in traced["trace"]] == [qcore.prob(st) for st in states]
+    assert traced["max_deviation"] == plain["max_deviation"]
+
+
+@pytest.mark.parametrize(
+    "sentence",
+    ["(" * 400 + "p" + ")" * 400, "not " * 3000 + "p"],
+    ids=["400-parentheses", "3000-not"],
+)
+@pytest.mark.parametrize("command", ["parse", "eval"])
+def test_deep_nesting_is_a_syntax_error(capsys, command, sentence):
+    code, out, err = run_cli(capsys, command, sentence)
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err
+    assert "Traceback" not in err
 
 
 def test_refute_finds_countermodel(capsys):

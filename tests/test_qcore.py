@@ -7,6 +7,8 @@ odd indices carry the truth mass.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     EPS_VEC,
@@ -17,6 +19,7 @@ from helpers import (
     haar_state,
     max_amp_diff,
     or_op,
+    reference_gate_amps,
 )
 from qct.errors import ArityMismatch, CapacityExceeded
 from qct.qcore import (
@@ -64,6 +67,29 @@ def test_register_validates_norm_and_length():
         QRegister(2, [1.0, 0.0])
     with pytest.raises(ValueError):
         QRegister(0, [1.0])
+
+
+def test_public_constructor_copies_the_callers_array():
+    amps = np.array([1.0, 0.0], dtype=np.complex128)
+    psi = QRegister(1, amps)
+    amps[:] = [0.0, 1.0]
+    assert psi.amps.tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "amps", [[1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0], [1.0, complex(0.0, np.inf)]]
+)
+@pytest.mark.parametrize("make", [QRegister, QRegister._owned])
+def test_both_constructors_reject_non_unit_or_non_finite_amplitudes(make, amps):
+    with pytest.raises(ValueError, match="unit norm"):
+        make(1, np.array(amps, dtype=np.complex128))
+
+
+def test_owned_constructor_checks_width_and_capacity():
+    with pytest.raises(ValueError):
+        QRegister._owned(2, np.array([1.0, 0.0], dtype=np.complex128))
+    with capacity_limit(1), pytest.raises(CapacityExceeded):
+        QRegister._owned(2, np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128))
 
 
 def test_register_amplitudes_are_read_only():
@@ -290,3 +316,40 @@ def test_dense_oracle_scale_and_arity_limits():
         rng = np.random.default_rng(19)
         with pytest.raises(CapacityExceeded):
             dense_oracle_apply(haar_state(rng, 11), Not(11))
+
+
+@st.composite
+def gate_placements(draw):
+    """A register size n <= 10, a gate that fits it, and an offset."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from([Not, SqrtNot, Toffoli] if n >= 3 else [Not, SqrtNot]))
+    if kind is Toffoli:
+        r = draw(st.integers(1, n - 2))
+        gate = Toffoli(r, draw(st.integers(1, n - 1 - r)))
+    else:
+        gate = kind(draw(st.integers(1, n)))
+    return n, gate, draw(st.integers(0, n - gate.arity))
+
+
+def signed_zero_state(rng: np.random.Generator, n: int) -> QRegister:
+    """Random unit vector in which about a third of the parts are +0 or -0."""
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    for part in (v.real, v.imag):
+        zero = rng.random(v.size) < 0.3
+        part[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+    if not np.any(v):
+        v[0] = 1.0
+    return QRegister(n, v / np.linalg.norm(v))
+
+
+@given(gate_placements(), st.integers(0, 2**32 - 1))
+def test_gate_kernels_match_the_index_arithmetic_reference(placement, seed):
+    n, gate, offset = placement
+    psi = signed_zero_state(np.random.default_rng(seed), n)
+    out = apply_gate(psi, gate, offset)
+    ref = reference_gate_amps(psi, gate, offset)
+    assert np.array_equal(out.amps, ref)
+    assert np.array_equal(np.signbit(out.amps.real), np.signbit(ref.real))
+    assert np.array_equal(np.signbit(out.amps.imag), np.signbit(ref.imag))
+    assert not out.amps.flags.writeable
+    assert not np.shares_memory(out.amps, psi.amps)
