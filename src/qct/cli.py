@@ -1,7 +1,8 @@
 """Command line: parse, tree, compile, eval, refute.
 
 Exit codes: 0 success (or countermodel found), 1 refutation search
-exhausted, 2 syntax or usage error, 3 capacity exceeded, 4 model error.
+exhausted, 2 syntax or usage error, 3 capacity exceeded, 4 model error,
+141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import lang, qcore, qtree, semantics, syntree
 from .errors import CapacityExceeded, ModelError, ParseError, UnboundAtom
 
-HARD_N_MAX = 28
+DEFAULT_N_MAX = 24
 AMP_DUMP_N_MAX = 12
 
 
@@ -57,13 +58,20 @@ def _gate_text(gate: qcore.GateTag) -> str:
 def cmd_parse(args: argparse.Namespace) -> int:
     s = lang.parse(args.sentence)
     if args.json:
-        _emit_json(
-            {
-                "ast": lang.sentence_to_json(s),
-                "pretty": lang.pretty(s),
-                "atcompl": lang.atomic_complexity(s),
-            }
-        )
+        # encoded whole first: json's encoder recurses once per AST level
+        try:
+            text = json.dumps(
+                {
+                    "ast": lang.sentence_to_json(s),
+                    "pretty": lang.pretty(s),
+                    "atcompl": lang.atomic_complexity(s),
+                },
+                indent=2,
+            )
+        except RecursionError:
+            print("error: sentence nested too deeply for --json", file=sys.stderr)
+            return 2
+        print(text)
     else:
         print(lang.ast_text(s))
         print(f"Atcompl: {lang.atomic_complexity(s)}")
@@ -111,26 +119,28 @@ def _load_model(path: str | None) -> semantics.QubModel:
     return semantics.model_from_json(data)
 
 
-def _check_capacity(s: lang.Sentence) -> None:
-    """Refuse, before any evaluation, a sentence wider than the capacity."""
-    n = lang.atomic_complexity(s)
-    if n > qcore.n_max():
+def _check_capacity(n: int, n_max: int) -> None:
+    """Refuse, before any evaluation, a sentence of n qubits over n_max.
+
+    No register its evaluation builds, a subterm's included, is wider.
+    """
+    if n > n_max:
         raise CapacityExceeded(
-            f"sentence needs n={n} qubits, exceeding the n_max={qcore.n_max()} limit"
+            f"sentence needs n={n} qubits, exceeding the n_max={n_max} limit"
         )
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     s = lang.parse(args.sentence)
-    if args.amplitudes and lang.atomic_complexity(s) > AMP_DUMP_N_MAX:
+    n = lang.atomic_complexity(s)
+    if args.amplitudes and n > AMP_DUMP_N_MAX:
         print(
-            f"error: --amplitudes is limited to n <= {AMP_DUMP_N_MAX}, "
-            f"got n={lang.atomic_complexity(s)}",
+            f"error: --amplitudes is limited to n <= {AMP_DUMP_N_MAX}, got n={n}",
             file=sys.stderr,
         )
         return 2
     m = _load_model(args.model)
-    _check_capacity(s)
+    _check_capacity(n, args.n_max)
     value = semantics.evaluate(s, m)
     p = qcore.prob(value)
     truth = abs(p - 1.0) <= qcore.EPS_PROB
@@ -187,9 +197,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_refute(args: argparse.Namespace) -> int:
     a = lang.parse(args.sentence)
     b = lang.parse(args.then) if args.then is not None else None
-    _check_capacity(a)
+    _check_capacity(lang.atomic_complexity(a), args.n_max)
     if b is not None:
-        _check_capacity(b)
+        _check_capacity(lang.atomic_complexity(b), args.n_max)
     sampler = semantics.ModelSampler(seed=args.seed, delta=args.delta)
     found = semantics.search_countermodel(a, b, trials=args.trials, sampler=sampler)
 
@@ -237,8 +247,8 @@ def _delta_arg(text: str) -> float:
 
 def _n_max_arg(text: str) -> int:
     v = int(text)
-    if not 1 <= v <= HARD_N_MAX:
-        raise argparse.ArgumentTypeError(f"n-max must lie in [1, {HARD_N_MAX}]")
+    if not 1 <= v <= qcore.N_MAX:
+        raise argparse.ArgumentTypeError(f"n-max must lie in [1, {qcore.N_MAX}]")
     return v
 
 
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--n-max",
             type=_n_max_arg,
             default=None,
-            help=f"qubit capacity override, at most {HARD_N_MAX} (env: QCT_N_MAX)",
+            help=f"qubit capacity override, at most {qcore.N_MAX} (env: QCT_N_MAX)",
         )
 
     sp = sub.add_parser("parse", help="desugared AST and atomic complexity")
@@ -301,20 +311,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    n_max = args.n_max
-    if n_max is None and "QCT_N_MAX" in os.environ:
+    if args.n_max is None:
+        env = os.environ.get("QCT_N_MAX")
         try:
-            n_max = _n_max_arg(os.environ["QCT_N_MAX"])
+            args.n_max = DEFAULT_N_MAX if env is None else _n_max_arg(env)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             print(f"error: QCT_N_MAX: {exc}", file=sys.stderr)
             return 2
-    # main() is importable; a capacity override must not outlive the call.
-    saved_n_max = qcore.n_max()
-    if n_max is not None:
-        qcore.set_n_max(n_max)
 
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # stdout was closed early (`qct ... | head`): point it at /dev/null
+        # so the flush at exit stays silent, and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -324,8 +337,6 @@ def main(argv: list[str] | None = None) -> int:
     except (UnboundAtom, ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    finally:
-        qcore.set_n_max(saved_n_max)
 
 
 if __name__ == "__main__":

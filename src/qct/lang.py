@@ -267,22 +267,5 @@ def _json_step(s: Sentence, parts: tuple[dict, ...]) -> dict:
 
 
 def sentence_to_json(s: Sentence) -> dict:
-    """JSON-ready form of a sentence; inverse of sentence_from_json."""
+    """JSON-ready form of a sentence."""
     return fold(s, _json_step)
-
-
-def sentence_from_json(data: object) -> Sentence:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError(f"not a sentence object: {data!r}")
-    kind = data["kind"]
-    if kind == "atom":
-        return Atom(data["name"])
-    if kind == "falsity":
-        return FALSITY
-    if kind == "not":
-        return Neg(sentence_from_json(data["body"]))
-    if kind == "snot":
-        return SqrtNeg(sentence_from_json(data["body"]))
-    if kind == "and":
-        return Conj3(sentence_from_json(data["left"]), sentence_from_json(data["right"]))
-    raise ValueError(f"unknown sentence kind: {kind!r}")

@@ -22,26 +22,12 @@ from .errors import ArityMismatch, CapacityExceeded
 EPS_NORM = 1e-9
 EPS_PROB = 1e-9
 
-DEFAULT_N_MAX = 24
-
-_n_max = DEFAULT_N_MAX
+# The largest register the package builds: a 2^28 x 16-byte (4 GiB) state.
+N_MAX = 28
 
 # (1 +- i)/2, the two entries of the square-root-of-NOT mixing matrix.
 _HALF_PLUS = 0.5 + 0.5j
 _HALF_MINUS = 0.5 - 0.5j
-
-
-def n_max() -> int:
-    """Current register size limit, in qubits."""
-    return _n_max
-
-
-def set_n_max(value: int) -> None:
-    """Set the register size limit.  Intended for process startup."""
-    global _n_max
-    if value < 1:
-        raise ValueError(f"n_max must be at least 1, got {value}")
-    _n_max = value
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +58,8 @@ def _checked(n: int, amps: object, copy: bool) -> np.ndarray:
     """Read-only complex amplitudes for n qubits, of finite unit norm."""
     if n < 1:
         raise ValueError(f"register needs at least 1 qubit, got n={n}")
-    if n > _n_max:
-        raise CapacityExceeded(f"n={n} exceeds the n_max={_n_max} limit")
+    if n > N_MAX:
+        raise CapacityExceeded(f"n={n} exceeds the n_max={N_MAX} limit")
     arr = np.asarray(amps, dtype=np.complex128)
     if arr.shape != (1 << n,):
         raise ValueError(
@@ -180,9 +166,9 @@ GateTag = Identity1 | Not | SqrtNot | Toffoli
 
 def tensor(a: QRegister, b: QRegister) -> QRegister:
     """Tensor product; a's qubits precede b's."""
-    if a.n + b.n > _n_max:
+    if a.n + b.n > N_MAX:
         raise CapacityExceeded(
-            f"tensor of n={a.n} and n={b.n} exceeds the n_max={_n_max} limit"
+            f"tensor of n={a.n} and n={b.n} exceeds the n_max={N_MAX} limit"
         )
     return QRegister._owned(a.n + b.n, np.kron(a.amps, b.amps))
 
@@ -258,10 +244,10 @@ def and_op(psi: QRegister, phi: QRegister) -> QRegister:
     The result lives on psi.n + phi.n + 1 qubits; its last qubit holds
     the conjunction of the two inputs' last qubits.
     """
-    if psi.n + phi.n + 1 > _n_max:
+    if psi.n + phi.n + 1 > N_MAX:
         raise CapacityExceeded(
             f"conjunction of n={psi.n} and n={phi.n} needs {psi.n + phi.n + 1} "
-            f"qubits, exceeding the n_max={_n_max} limit"
+            f"qubits, exceeding the n_max={N_MAX} limit"
         )
     return apply_gate(tensor(tensor(psi, phi), KET0), Toffoli(psi.n, phi.n))
 

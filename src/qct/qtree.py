@@ -147,27 +147,3 @@ def circuit_to_json(qt: QuantumTree) -> dict:
         "n": qt.n,
         "layers": [[_gate_to_json(g) for g in layer.ops] for layer in qt.layers],
     }
-
-
-def _gate_from_json(data: object) -> GateTag:
-    if not isinstance(data, dict) or "gate" not in data:
-        raise ValueError(f"not a gate object: {data!r}")
-    kind = data["gate"]
-    if kind == "I":
-        return Identity1()
-    if kind == "NOT":
-        return Not(data["r"])
-    if kind == "SNOT":
-        return SqrtNot(data["r"])
-    if kind == "T":
-        return Toffoli(data["r"], data["s"])
-    raise ValueError(f"unknown gate name: {kind!r}")
-
-
-def circuit_from_json(data: object) -> QuantumTree:
-    if not isinstance(data, dict) or "n" not in data or "layers" not in data:
-        raise ValueError(f"not a circuit object: {data!r}")
-    layers = tuple(
-        Layer(tuple(_gate_from_json(g) for g in layer)) for layer in data["layers"]
-    )
-    return QuantumTree(data["n"], layers)

@@ -159,38 +159,6 @@ def search_countermodel(
     return None
 
 
-@dataclass(frozen=True)
-class UnaryBooleanCheck:
-    """One candidate f: {0,1} -> {0,1}, as its value table (f(0), f(1)).
-
-    `witness` is the smallest x with f(f(x)) != 1 - x, or None if the
-    candidate behaves as a Boolean square root of negation.
-    """
-
-    table: tuple[int, int]
-    witness: int | None
-
-
-@dataclass(frozen=True)
-class BooleanSqrtNotReport:
-    checks: tuple[UnaryBooleanCheck, ...]
-
-    @property
-    def all_fail(self) -> bool:
-        return all(c.witness is not None for c in self.checks)
-
-
-def check_no_boolean_sqrt_not() -> BooleanSqrtNotReport:
-    """Enumerate all four unary Boolean functions; none squares to NOT."""
-    checks = []
-    for f0 in (0, 1):
-        for f1 in (0, 1):
-            table = (f0, f1)
-            witness = next((x for x in (0, 1) if table[table[x]] != 1 - x), None)
-            checks.append(UnaryBooleanCheck(table, witness))
-    return BooleanSqrtNotReport(tuple(checks))
-
-
 def model_to_json(m: QubModel) -> dict:
     """JSON-ready model with atoms in sorted order."""
     out = {}

@@ -9,7 +9,6 @@ is needed at run time, so it lives here rather than in the package.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import strategies as st
@@ -30,16 +29,6 @@ ORACLE_N_MAX = 10
 # (1 +- i)/2, the two entries of the square-root-of-NOT mixing matrix.
 _HALF_PLUS = 0.5 + 0.5j
 _HALF_MINUS = 0.5 - 0.5j
-
-
-@contextmanager
-def capacity_limit(value: int):
-    old = qcore.n_max()
-    qcore.set_n_max(value)
-    try:
-        yield
-    finally:
-        qcore.set_n_max(old)
 
 
 def haar_state(rng: np.random.Generator, n: int) -> QRegister:
@@ -111,6 +100,13 @@ def bool_eval(s: Sentence, env: dict[str, int]) -> int:
     if isinstance(s, Conj3):
         return bool_eval(s.left, env) & bool_eval(s.right, env)
     raise ValueError(f"not a Boolean sentence: {s!r}")
+
+
+def boolean_sqrt_not_witnesses() -> dict[tuple[int, int], int | None]:
+    """Each unary Boolean function, as its table (f(0), f(1)), mapped to
+    the smallest x with f(f(x)) != 1 - x, or None if f squares to NOT."""
+    tables = [(f0, f1) for f0 in (0, 1) for f1 in (0, 1)]
+    return {t: next((x for x in (0, 1) if t[t[x]] != 1 - x), None) for t in tables}
 
 
 def connective_sentences(atoms: tuple[str, ...], depth: int) -> list[Sentence]:

@@ -15,6 +15,7 @@ import numpy as np
 from helpers import (
     ATOM_POOL,
     bool_eval,
+    boolean_sqrt_not_witnesses,
     connective_sentences,
     definite_last_bit_state,
     dense_oracle_apply,
@@ -44,7 +45,6 @@ from qct.qtree import Layer, compile_tree, input_state, run_with_trace
 from qct.semantics import (
     ModelSampler,
     QubModel,
-    check_no_boolean_sqrt_not,
     evaluate,
     search_countermodel,
 )
@@ -251,13 +251,14 @@ def test_criterion_8_margin_models_keep_probabilities_interior():
 
 
 def test_criterion_9_no_boolean_unary_square_root_of_negation():
-    report = check_no_boolean_sqrt_not()
-    ok = len(report.checks) == 4 and report.all_fail
+    witnesses = boolean_sqrt_not_witnesses()
+    refuted = sum(w is not None for w in witnesses.values())
+    ok = len(witnesses) == 4 and refuted == 4
     _report(
         9,
         "none of the 4 unary Boolean functions squares to negation",
         ok,
-        f"{sum(c.witness is not None for c in report.checks)}/4 refuted by witness",
+        f"{refuted}/4 refuted by witness",
     )
 
 

@@ -3,14 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import qct
 from qct import qcore, qtree, syntree
 from qct.cli import main
-from qct.lang import parse, sentence_from_json
+from qct.lang import parse, sentence_to_json
 from qct.semantics import model_from_json
 
 BALANCED_MODEL = {"atoms": {"p": [[2**-0.5, 0.0], [2**-0.5, 0.0]]}}
@@ -44,7 +48,7 @@ def test_parse_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "parse", "--json", "not p and (q and snot p)")
     assert code == 0
     data = json.loads(out)
-    assert sentence_from_json(data["ast"]) == parse("not p and (q and snot p)")
+    assert data["ast"] == sentence_to_json(parse("not p and (q and snot p)"))
     assert data["atcompl"] == 5
     assert parse(data["pretty"]) == parse("not p and (q and snot p)")
 
@@ -311,7 +315,8 @@ def test_capacity_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "eval", "--n-max", "5", sentence, "--model", path)
     assert code == 3
     assert "n_max" in err
-    assert qcore.n_max() == qcore.DEFAULT_N_MAX  # override does not leak
+    code, _, _ = run_cli(capsys, "eval", sentence, "--model", path)
+    assert code == 0  # the override does not outlive its call
 
 
 CHAIN_1200 = " and ".join(["p"] * 1200)  # nested deeper than Python's recursion limit
@@ -324,6 +329,7 @@ CHAIN_1200 = " and ".join(["p"] * 1200)  # nested deeper than Python's recursion
         ("compile --json", 0),
         ("tree", 0),
         ("parse", 0),
+        ("parse --json", 2),
         ("eval", 3),
         ("refute", 3),
     ],
@@ -337,6 +343,25 @@ def test_long_chain_compiles_or_exceeds_capacity(command, expected):
     assert code == expected
     if expected == 3:
         assert "n=2399" in err.getvalue()
+    if command == "parse --json":  # json's encoder recurses once per AST level
+        assert out.getvalue() == ""
+        assert "nested too deeply for --json" in err.getvalue()
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    src = os.path.dirname(os.path.dirname(qct.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qct", "compile", " and ".join(["p"] * 300), "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()  # as `| head -1` does
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_n_max_env_fallback(capsys, tmp_path, monkeypatch):

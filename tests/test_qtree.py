@@ -32,7 +32,6 @@ from qct.qcore import (
 from qct.qtree import (
     Layer,
     QuantumTree,
-    circuit_from_json,
     circuit_to_json,
     compile_tree,
     input_state,
@@ -192,14 +191,15 @@ def test_circuit_json_shape_and_round_trip():
             [{"gate": "I", "r": 1}, {"gate": "NOT", "r": 1}, {"gate": "I", "r": 1}],
         ],
     }
-    assert circuit_from_json(data) == qt
 
-    qt2 = _compiled("snot (p and q) or f")
-    assert circuit_from_json(circuit_to_json(qt2)) == qt2
-
-
-def test_circuit_json_rejects_junk():
-    with pytest.raises(ValueError):
-        circuit_from_json({"layers": []})
-    with pytest.raises(ValueError):
-        circuit_from_json({"n": 1, "layers": [[{"gate": "X", "r": 1}]]})
+    # not (not snot (p and q) and not f)
+    assert circuit_to_json(_compiled("snot (p and q) or f")) == {
+        "n": 5,
+        "layers": [
+            [{"gate": "NOT", "r": 5}],
+            [{"gate": "T", "r": 3, "s": 1}],
+            [{"gate": "NOT", "r": 3}, {"gate": "NOT", "r": 1}, {"gate": "I", "r": 1}],
+            [{"gate": "SNOT", "r": 3}, {"gate": "I", "r": 1}, {"gate": "I", "r": 1}],
+            [{"gate": "T", "r": 1, "s": 1}, {"gate": "I", "r": 1}, {"gate": "I", "r": 1}],
+        ],
+    }

@@ -6,7 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from helpers import bool_eval, connective_sentences, model_for, random_sentence
+from helpers import (
+    bool_eval,
+    boolean_sqrt_not_witnesses,
+    connective_sentences,
+    model_for,
+    random_sentence,
+)
 from qct.errors import ModelError, ReservedName, UnboundAtom
 from qct.lang import FALSITY, Atom, Neg, conj, disj, parse
 from qct.qcore import EPS_PROB, KET0, KET1, basis_state, prob, qubit
@@ -14,7 +20,6 @@ from qct.semantics import (
     EMPTY_MODEL,
     ModelSampler,
     QubModel,
-    check_no_boolean_sqrt_not,
     consequence_in_model,
     evaluate,
     is_true,
@@ -144,10 +149,9 @@ def test_search_is_deterministic_per_seed():
 
 
 def test_no_boolean_square_root_of_negation():
-    report = check_no_boolean_sqrt_not()
-    assert len(report.checks) == 4
-    assert report.all_fail
-    by_table = {c.table: c.witness for c in report.checks}
+    by_table = boolean_sqrt_not_witnesses()
+    assert len(by_table) == 4
+    assert None not in by_table.values()
     assert by_table[(0, 1)] == 0  # identity
     assert by_table[(1, 1)] == 1  # constant 1
     assert by_table[(1, 0)] == 0  # plain negation
