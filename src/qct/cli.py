@@ -1,13 +1,15 @@
 """Command line: parse, tree, compile, eval, refute.
 
 Exit codes: 0 success (or countermodel found), 1 refutation search
-exhausted, 2 syntax or usage error, 3 capacity exceeded, 4 model error,
-141 stdout closed early.
+exhausted, 2 syntax or usage error (also a `--delta` too close to 0.25
+for the model sampler to draw a qubit), 3 capacity exceeded, 4 model
+error, 141 stdout closed early.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -15,7 +17,7 @@ import sys
 import numpy as np
 
 from . import lang, qcore, qtree, semantics, syntree
-from .errors import CapacityExceeded, ModelError, ParseError, UnboundAtom
+from .errors import CapacityExceeded, ModelError, ParseError, SamplerStuck, UnboundAtom
 
 DEFAULT_N_MAX = 24
 AMP_DUMP_N_MAX = 12
@@ -252,6 +254,7 @@ def _n_max_arg(text: str) -> int:
     return v
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qct",
@@ -330,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except SamplerStuck as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,22 @@ conjunction through the gates in qcore, so a sentence's value is a
 quregister on Atcompl(s) qubits and its probability is the weight the
 register puts on an odd final qubit.
 
+That weight depends only on the 2x2 reduced state of the register's
+last qubit (the density-operator, or qumix, reading), so `probability`
+computes it in closed form, in time linear in the sentence and with no
+register built.  Per node it carries p = rho11 and b = rho01:
+
+    atom c0|0> + c1|1>   (|c1|^2, c0 * conj(c1))
+    f                    (0, 0)
+    not                  (1 - p, conj(b))
+    snot                 (1/2 + Im b, Re b + i (1/2 - p))
+    conjunction          (p_left * p_right, 0)
+
+The conjunction's target is a function of the other qubits, so its
+reduced state has no coherence.  Truth, consequence and the
+countermodel search use this closed form; `evaluate` builds the
+register itself.
+
 Truth and consequence compare probabilities with an EPS_PROB tolerance;
 exact comparison is meaningless after floating-point gate chains.  The
 countermodel search samples Haar-uniform models.  It can only ever
@@ -22,7 +38,9 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ModelError, ReservedName, SamplerStuck, UnboundAtom
-from .lang import Atom, Conj3, Falsity, Neg, Sentence, SqrtNeg, atom_names
+from .lang import Atom, Conj3, Falsity, Neg, Sentence, SqrtNeg, fold
+# prob is unused here but stays importable as semantics.prob, which
+# qctbench/spans.py wraps
 from .qcore import (
     EPS_PROB,
     KET0,
@@ -78,14 +96,79 @@ def evaluate(s: Sentence, m: QubModel) -> QRegister:
     raise TypeError(f"not a sentence: {s!r}")
 
 
+# Steps of a ProbProgram, in post order: (_ATOM, name), (_F, None),
+# (_NOT, None), (_SNOT, None) and (_AND, None).
+_ATOM, _F, _NOT, _SNOT, _AND = range(5)
+
+
+class ProbProgram:
+    """Prob(s) as a function of the model, from one walk over s.
+
+    The walk turns s into a post-order list of steps; each call runs
+    that list on a stack of (p, b) pairs, the reduced state of each
+    subsentence's last qubit.  The result is clamped into [0, 1] as
+    qcore.prob clamps.  A call raises UnboundAtom for an atom the
+    model does not assign.
+    """
+
+    def __init__(self, s: Sentence) -> None:
+        steps: list[tuple[int, str | None]] = []
+
+        def emit(node: Sentence, parts: tuple) -> None:
+            if isinstance(node, Atom):
+                steps.append((_ATOM, node.name))
+            elif isinstance(node, Falsity):
+                steps.append((_F, None))
+            elif isinstance(node, Neg):
+                steps.append((_NOT, None))
+            elif isinstance(node, SqrtNeg):
+                steps.append((_SNOT, None))
+            else:
+                # the third slot is always f, whose step came last: the
+                # conjunction's target starts at |0>, so drop it
+                steps[-1] = (_AND, None)
+
+        fold(s, emit)
+        self._steps = steps
+        self.atoms = frozenset(name for op, name in steps if op == _ATOM)
+
+    def __call__(self, m: QubModel) -> float:
+        leaves: dict[str, tuple[float, complex]] = {}
+        stack: list[tuple[float, complex]] = []
+        for op, name in self._steps:
+            if op == _ATOM:
+                leaf = leaves.get(name)
+                if leaf is None:
+                    c0, c1 = m.qubit(name).amps.tolist()
+                    leaf = leaves[name] = (c1.real * c1.real + c1.imag * c1.imag, c0 * c1.conjugate())
+                stack.append(leaf)
+            elif op == _F:
+                stack.append((0.0, 0j))
+            elif op == _NOT:
+                p, b = stack[-1]
+                stack[-1] = (1.0 - p, b.conjugate())
+            elif op == _SNOT:
+                p, b = stack[-1]
+                stack[-1] = (0.5 + b.imag, complex(b.real, 0.5 - p))
+            else:
+                p_right = stack.pop()[0]
+                stack[-1] = (stack[-1][0] * p_right, 0j)
+        return min(max(stack[0][0], 0.0), 1.0)
+
+
+def probability(s: Sentence, m: QubModel) -> float:
+    """Prob(s) under m in closed form, building no register."""
+    return ProbProgram(s)(m)
+
+
 def is_true(s: Sentence, m: QubModel) -> bool:
     """Probability 1 within EPS_PROB."""
-    return abs(prob(evaluate(s, m)) - 1.0) <= EPS_PROB
+    return abs(probability(s, m) - 1.0) <= EPS_PROB
 
 
 def consequence_in_model(a: Sentence, b: Sentence, m: QubModel) -> bool:
-    """prob(a) <= prob(b) within EPS_PROB.  The registers may differ in size."""
-    return prob(evaluate(a, m)) <= prob(evaluate(b, m)) + EPS_PROB
+    """prob(a) <= prob(b) within EPS_PROB."""
+    return probability(a, m) <= probability(b, m) + EPS_PROB
 
 
 @dataclass(frozen=True)
@@ -145,16 +228,18 @@ def search_countermodel(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    names = atom_names(a) | (atom_names(b) if b is not None else set())
+    prob_a = ProbProgram(a)
+    prob_b = ProbProgram(b) if b is not None else None
+    names = prob_a.atoms | (prob_b.atoms if prob_b is not None else frozenset())
     if not names:
         trials = 1  # no atoms, every trial checks the same model
     for trial in range(trials):
         sub = ModelSampler(seed=_trial_seed(sampler.seed, trial), delta=sampler.delta)
         m = sample_model(names, sub)
-        if b is None:
-            if prob(evaluate(a, m)) < 1.0 - EPS_PROB:
+        if prob_b is None:
+            if prob_a(m) < 1.0 - EPS_PROB:
                 return m
-        elif prob(evaluate(a, m)) > prob(evaluate(b, m)) + EPS_PROB:
+        elif prob_a(m) > prob_b(m) + EPS_PROB:
             return m
     return None
 

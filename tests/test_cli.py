@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import qct
-from qct import qcore, qtree, syntree
-from qct.cli import main
+from qct import qcore, qtree, semantics, syntree
+from qct.cli import build_parser, main
 from qct.lang import parse, sentence_to_json
 from qct.semantics import model_from_json
 
@@ -299,6 +299,32 @@ def test_refute_json_is_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# refute's exact output and exit code for README examples, --then,
+# --delta and exhausted searches, recorded from `python -m qct` before the
+# search moved from registers to the closed form: the same countermodels
+with open(os.path.join(os.path.dirname(__file__), "golden_refute.json"), encoding="utf-8") as fh:
+    GOLDEN_REFUTE = json.load(fh)
+
+
+@pytest.mark.parametrize("case", GOLDEN_REFUTE, ids=[" ".join(c["argv"][1:]) for c in GOLDEN_REFUTE])
+def test_refute_golden_bytes(capsys, case):
+    code, out, err = run_cli(capsys, *case["argv"])
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_sampler_stuck_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(semantics, "_MAX_DRAWS", 3)
+    code, out, err = run_cli(capsys, "refute", "p", "--delta", "0.24999999999", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no accepted draw in 3 attempts")
+    assert "Traceback" not in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_refute_seed_changes_model(capsys):
