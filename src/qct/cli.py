@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,9 +44,62 @@ def _amp_lines(psi: qcore.QRegister) -> list[str]:
 
 
 def _emit_json(obj: object) -> None:
-    # streamed, so a large circuit's text is never held in memory whole
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
+
+
+def _emit_json_rows(obj: dict, rows_key: str) -> None:
+    """Write json.dump(obj, indent=2) and a newline, one row at a time.
+
+    obj[rows_key] is an iterable of rows, written as a list of lists:
+    each row is an iterable of list items already encoded by
+    `_item_text`.  Every other value is a scalar.  A row is written as
+    soon as it is joined, so a large output is never held in memory
+    whole, and json's pure-Python encoder never sees the items.
+    """
+    out = sys.stdout
+    sep = "{\n"
+    for key, value in obj.items():
+        out.write(f"{sep}  {json.dumps(key)}: ")
+        sep = ",\n"
+        if key != rows_key:
+            out.write(json.dumps(value))
+            continue
+        row_sep = "[\n"
+        for row in value:
+            out.write(f"{row_sep}    [\n" + ",\n".join(row) + "\n    ]")
+            row_sep = ",\n"
+        out.write("[]" if row_sep == "[\n" else "\n  ]")
+    out.write("\n}\n")
+
+
+def _item_text(value: str | dict) -> str:
+    """A string, or a flat dict of scalars, as json.dump(..., indent=2)
+    writes it as an item of a row.  Only scalars go through json.dumps,
+    whose C encoder runs when no indent is asked for."""
+    if isinstance(value, dict):
+        fields = (f"        {json.dumps(k)}: {json.dumps(v)}" for k, v in value.items())
+        return "      {\n" + ",\n".join(fields) + "\n      }"
+    return "      " + json.dumps(value)
+
+
+def _encoded(
+    items: Sequence,
+    encode: Callable[[object], str],
+    cache: dict,
+    key: Callable[[object], object] | None = None,
+) -> Iterator[str]:
+    """encode(item) for each item, computed once per distinct key(item).
+
+    Gates are keyed by `id`, because they hash in Python code: a circuit's
+    gates stay alive while it is written, and all its identity wires are
+    one object, so a layer costs one encoding per new non-wire gate.
+    """
+    keys = items if key is None else list(map(key, items))
+    for k, item in dict(zip(keys, items)).items():
+        if k not in cache:
+            cache[k] = encode(item)
+    return map(cache.__getitem__, keys)
 
 
 def _gate_text(gate: qcore.GateTag) -> str:
@@ -55,6 +109,13 @@ def _gate_text(gate: qcore.GateTag) -> str:
     if isinstance(gate, qcore.Toffoli):
         return f"{name}({gate.r},{gate.s})"
     return f"{name}({gate.r})"
+
+
+def _gate_json_text(gate: qcore.GateTag) -> str:
+    name = qtree.GATE_NAMES[type(gate)]
+    if isinstance(gate, qcore.Toffoli):
+        return _item_text({"gate": name, "r": gate.r, "s": gate.s})
+    return _item_text({"gate": name, "r": gate.arity})
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -83,12 +144,9 @@ def cmd_parse(args: argparse.Namespace) -> int:
 def cmd_tree(args: argparse.Namespace) -> int:
     tree = syntree.build_tree(lang.parse(args.sentence))
     if args.json:
-        _emit_json(
-            {
-                "levels": tree.fold_levels(lang.pretty_step),
-                "height": tree.height,
-            }
-        )
+        texts: dict[str, str] = {}
+        rows = (_encoded(level, _item_text, texts) for level in tree.fold_levels(lang.pretty_step))
+        _emit_json_rows({"levels": rows, "height": tree.height}, "levels")
     else:
         print(syntree.render_tree(tree))
         print(f"Height: {tree.height}")
@@ -97,12 +155,14 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     qt = qtree.compile_tree(syntree.build_tree(lang.parse(args.sentence)))
+    texts: dict[int, str] = {}
     if args.json:
-        _emit_json(qtree.circuit_to_json(qt))
+        rows = (_encoded(layer.ops, _gate_json_text, texts, id) for layer in qt.layers)
+        _emit_json_rows({"n": qt.n, "layers": rows}, "layers")
     else:
         print(f"n: {qt.n}")
         for i, layer in enumerate(qt.layers, start=1):
-            print(f"U{i}: " + " ⊗ ".join(_gate_text(g) for g in layer.ops))
+            print(f"U{i}: " + " ⊗ ".join(_encoded(layer.ops, _gate_text, texts, id)))
     return 0
 
 

@@ -233,7 +233,15 @@ def pretty(s: Sentence) -> str:
 
 def atoms_of(s: Sentence) -> tuple[Sentence, ...]:
     """Leaf occurrences in left-to-right order, falsity included."""
-    return fold(s, lambda node, parts: sum(parts, ()) if parts else (node,))
+    leaves, stack = [], [s]
+    while stack:
+        node = stack.pop()
+        kids = children(node)
+        if kids:
+            stack.extend(reversed(kids))
+        else:
+            leaves.append(node)
+    return tuple(leaves)
 
 
 def atomic_complexity(s: Sentence) -> int:

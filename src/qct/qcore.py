@@ -14,6 +14,7 @@ one fresh array and checks it once, without copying it again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -101,9 +102,9 @@ KET1 = basis_state(1)
 class Identity1:
     """One-qubit identity wire."""
 
-    @property
-    def arity(self) -> int:
-        return 1
+    # a class attribute, not a property: a circuit holds far more wires
+    # than gates, and reading it then runs no Python code per wire
+    arity: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)

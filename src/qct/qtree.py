@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .errors import ArityMismatch
 from .lang import Atom, Conj3, Neg, Sentence
@@ -46,7 +47,7 @@ class Layer:
 
     @property
     def width(self) -> int:
-        return sum(op.arity for op in self.ops)
+        return sum(map(attrgetter("arity"), self.ops))
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,15 @@ class QuantumTree:
                 )
 
 
+# One shared value for every leaf, so every identity wire of a circuit is
+# one object and a writer can render it once (see cli).
+_WIRE = (1, Identity1())
+
+
 def _width_and_gate(node: Sentence, parts: tuple) -> tuple[int, GateTag]:
     """A node's atomic complexity and operator, from its children's widths."""
     if not parts:
-        return 1, Identity1()
+        return _WIRE
     if isinstance(node, Conj3):
         (r, _), (s, _), (t, _) = parts
         return r + s + t, Toffoli(r, s)
@@ -83,7 +89,7 @@ def compile_tree(tree: SyntacticTree) -> QuantumTree:
     """Apply the operator rule to every level except the last."""
     levels = tree.fold_levels(_width_and_gate)
     ((n, _),) = levels[0]
-    layers = tuple(Layer(tuple(gate for _, gate in level)) for level in levels[:-1])
+    layers = tuple(Layer(tuple(map(itemgetter(1), level))) for level in levels[:-1])
     return QuantumTree(n, layers)
 
 
@@ -132,18 +138,3 @@ def run_with_trace(qt: QuantumTree, input: QRegister) -> list[QRegister]:
 
 
 GATE_NAMES = {Identity1: "I", Not: "NOT", SqrtNot: "SNOT", Toffoli: "T"}
-
-
-def _gate_to_json(gate: GateTag) -> dict:
-    name = GATE_NAMES[type(gate)]
-    if isinstance(gate, Toffoli):
-        return {"gate": name, "r": gate.r, "s": gate.s}
-    return {"gate": name, "r": gate.arity}
-
-
-def circuit_to_json(qt: QuantumTree) -> dict:
-    """JSON-ready circuit: {"n": ..., "layers": [[gate, ...], ...]}."""
-    return {
-        "n": qt.n,
-        "layers": [[_gate_to_json(g) for g in layer.ops] for layer in qt.layers],
-    }

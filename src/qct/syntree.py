@@ -6,11 +6,17 @@ itself, a negation (plain or square root) exposes its body, and a
 ternary conjunction exposes its three components.  Unfolding stops at
 the first all-atomic level, which lists the sentence's atomic
 occurrences in order.  Height counts the levels, root included.
+
+An atomic node above the last level is carried down every level below
+it, so a chain of k conjunctions has O(k^2) nodes but only O(k)
+non-atomic ones.  The tree records where its non-atomic nodes sit, and
+both building the levels and folding over them copy the carried atoms
+as slices, so their Python-level work is per non-atomic node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from .lang import Sentence, atoms_of, children, pretty_step
@@ -20,9 +26,14 @@ R = TypeVar("R")
 
 @dataclass(frozen=True)
 class SyntacticTree:
-    """Levels from the root down; levels[0] is the one-node root level."""
+    """Levels from the root down; levels[0] is the one-node root level.
+
+    inner[i] lists the positions in levels[i] of its non-atomic nodes,
+    in order; inner[-1] is empty.  Built by `build_tree` only.
+    """
 
     levels: tuple[tuple[Sentence, ...], ...]
+    inner: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def height(self) -> int:
@@ -38,16 +49,21 @@ class SyntacticTree:
         Values are computed bottom-up, each node's once from the values
         of its children on the level below: combine(node, parts).  An
         atomic node above the last level carries its value down
-        unchanged.
+        unchanged, as the same object.
         """
         below = [combine(leaf, ()) for leaf in self.levels[-1]]
         out = [below]
-        for level in reversed(self.levels[:-1]):
-            values, i = [], 0
-            for node in level:
+        for level, inner in zip(reversed(self.levels[:-1]), reversed(self.inner[:-1])):
+            values: list[R] = []
+            i = j = 0  # next position in level, and in below
+            for p in inner:
+                values += below[j : j + p - i]  # the atoms carried past
+                j += p - i
+                node = level[p]
                 k = len(children(node))
-                values.append(combine(node, tuple(below[i : i + k])) if k else below[i])
-                i += k or 1
+                values.append(combine(node, tuple(below[j : j + k])))
+                i, j = p + 1, j + k
+            values += below[j:]
             out.append(values)
             below = values
         out.reverse()
@@ -57,9 +73,23 @@ class SyntacticTree:
 def build_tree(s: Sentence) -> SyntacticTree:
     """Unfold s level by level until every node is atomic."""
     levels = [(s,)]
-    while any(map(children, levels[-1])):
-        levels.append(tuple(kid for node in levels[-1] for kid in children(node) or (node,)))
-    tree = SyntacticTree(tuple(levels))
+    inner = []
+    nodes = (0,) if children(s) else ()
+    while nodes:
+        inner.append(nodes)
+        level, nxt, nxt_nodes, i = levels[-1], [], [], 0
+        for p in nodes:
+            nxt += level[i:p]  # the atoms carried down
+            for kid in children(level[p]):
+                if children(kid):
+                    nxt_nodes.append(len(nxt))
+                nxt.append(kid)
+            i = p + 1
+        nxt += level[i:]
+        levels.append(tuple(nxt))
+        nodes = tuple(nxt_nodes)
+    inner.append(())
+    tree = SyntacticTree(tuple(levels), tuple(inner))
     assert tree.levels[-1] == atoms_of(s)
     return tree
 

@@ -1,9 +1,11 @@
 """Shared oracles and generators for the test suite.
 
-The dense-matrix route, the Boolean truth-table evaluator and the
-per-level tensor states are deliberately written from the definitions,
-independent of the structural implementations they check.  None of it
-is needed at run time, so it lives here rather than in the package.
+The dense-matrix route, the Boolean truth-table evaluator, the
+per-level tensor states and the node-by-node tree levels are
+deliberately written from the definitions, independent of the
+structural implementations they check; the circuit's dict form is the
+byte reference for `qct compile --json`.  None of it is needed at run
+time, so it lives here rather than in the package.
 """
 
 from __future__ import annotations
@@ -15,9 +17,20 @@ from hypothesis import strategies as st
 
 from qct import lang, qcore, semantics
 from qct.errors import ArityMismatch, CapacityExceeded
-from qct.lang import FALSITY, Atom, Conj3, Falsity, Neg, Sentence, SqrtNeg, conj, disj
+from qct.lang import (
+    FALSITY,
+    Atom,
+    Conj3,
+    Falsity,
+    Neg,
+    Sentence,
+    SqrtNeg,
+    children,
+    conj,
+    disj,
+)
 from qct.qcore import GateTag, Identity1, Not, QRegister, SqrtNot, Toffoli, and_op, apply_not
-from qct.qtree import Layer
+from qct.qtree import GATE_NAMES, Layer, QuantumTree
 from qct.semantics import ModelSampler, QubModel, sample_model
 from qct.syntree import SyntacticTree
 
@@ -83,6 +96,29 @@ def random_sentence(
     a = random_sentence(rng, left, atoms, allow_falsity, allow_sqrt)
     b = random_sentence(rng, budget - 1 - left, atoms, allow_falsity, allow_sqrt)
     return conj(a, b) if kind == "conj" else disj(a, b)
+
+
+def random_chain(terms: int, seed: int) -> Sentence:
+    """Left-associated and/or chain of `terms` atoms or f, with not and
+    snot on up to three levels above each term and above each link."""
+    rng = random.Random(seed)
+
+    def negated(s: Sentence) -> Sentence:
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            s = rng.choice((Neg, SqrtNeg))(s)
+        return s
+
+    def term() -> Sentence:
+        return negated(rng.choice((Atom(rng.choice(ATOM_POOL)), FALSITY)))
+
+    out = term()
+    for _ in range(terms - 1):
+        out = negated(rng.choice((conj, disj))(out, term()))
+    return out
+
+
+def chain_strategy(max_terms: int) -> st.SearchStrategy[Sentence]:
+    return st.builds(random_chain, st.integers(1, max_terms), st.integers(0, 2**32 - 1))
 
 
 def model_for(s: Sentence, seed: int, delta: float = 0.0) -> QubModel:
@@ -197,6 +233,45 @@ def dense_layer_matrix(layer: Layer) -> np.ndarray:
     for gate in layer.ops:
         m = np.kron(m, dense_matrix(gate))
     return m
+
+
+def reference_levels(s: Sentence) -> tuple[tuple[Sentence, ...], ...]:
+    """The tree's levels, unfolding every node of every level."""
+    levels = [(s,)]
+    while any(map(children, levels[-1])):
+        levels.append(tuple(kid for node in levels[-1] for kid in children(node) or (node,)))
+    return tuple(levels)
+
+
+def reference_fold_levels(levels: tuple[tuple[Sentence, ...], ...], combine) -> list[list]:
+    """SyntacticTree.fold_levels, node by node over every level."""
+    below = [combine(leaf, ()) for leaf in levels[-1]]
+    out = [below]
+    for level in reversed(levels[:-1]):
+        values, i = [], 0
+        for node in level:
+            k = len(children(node))
+            values.append(combine(node, tuple(below[i : i + k])) if k else below[i])
+            i += k or 1
+        out.append(values)
+        below = values
+    out.reverse()
+    return out
+
+
+def _gate_to_json(gate: GateTag) -> dict:
+    name = GATE_NAMES[type(gate)]
+    if isinstance(gate, Toffoli):
+        return {"gate": name, "r": gate.r, "s": gate.s}
+    return {"gate": name, "r": gate.arity}
+
+
+def circuit_to_json(qt: QuantumTree) -> dict:
+    """JSON-ready circuit: {"n": ..., "layers": [[gate, ...], ...]}."""
+    return {
+        "n": qt.n,
+        "layers": [[_gate_to_json(g) for g in layer.ops] for layer in qt.layers],
+    }
 
 
 def level_state(tree: SyntacticTree, m: QubModel, i: int) -> QRegister:

@@ -10,11 +10,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qct
+from helpers import (
+    chain_strategy,
+    circuit_to_json,
+    reference_fold_levels,
+    reference_levels,
+    sentence_strategy,
+)
 from qct import qcore, qtree, semantics, syntree
 from qct.cli import build_parser, main
-from qct.lang import parse, sentence_to_json
+from qct.lang import FALSITY, Atom, parse, pretty, pretty_step, sentence_to_json
 from qct.semantics import model_from_json
 
 BALANCED_MODEL = {"atoms": {"p": [[2**-0.5, 0.0], [2**-0.5, 0.0]]}}
@@ -101,6 +110,37 @@ def test_compile_json_worked_example(capsys):
 def test_compile_atomic_sentence(capsys):
     code, out, _ = run_cli(capsys, "compile", "--json", "p")
     assert json.loads(out) == {"n": 1, "layers": []}
+
+
+def test_compile_json_of_an_atom_is_byte_exact(capsys):
+    code, out, _ = run_cli(capsys, "compile", "p", "--json")
+    assert code == 0
+    assert out == '{\n  "n": 1,\n  "layers": []\n}\n'
+
+
+def _stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        sentence_strategy(max_leaves=20),
+        chain_strategy(max_terms=60),
+        st.sampled_from([Atom("p"), FALSITY]),
+    )
+)
+def test_json_writers_give_the_bytes_of_json_dump(s):
+    text = pretty(s)
+    qt = qtree.compile_tree(syntree.build_tree(s))
+    circuit = json.dumps(circuit_to_json(qt), indent=2) + "\n"
+    assert _stdout("compile", text, "--json") == circuit
+    levels = reference_levels(s)
+    tree = {"levels": reference_fold_levels(levels, pretty_step), "height": len(levels)}
+    assert _stdout("tree", text, "--json") == json.dumps(tree, indent=2) + "\n"
 
 
 def test_eval_with_model_file(capsys, tmp_path):
@@ -361,7 +401,8 @@ CHAIN_1200 = " and ".join(["p"] * 1200)  # nested deeper than Python's recursion
     ],
 )
 def test_long_chain_compiles_or_exceeds_capacity(command, expected):
-    # a StringIO, not capsys, which encodes each of the JSON encoder's millions of writes
+    # a StringIO, not capsys: compile --json writes 76 MB here, which
+    # capsys would encode to bytes and decode again
     out, err = io.StringIO(), io.StringIO()
     name, *flags = command.split()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

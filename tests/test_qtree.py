@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from helpers import (
     EPS_VEC,
+    circuit_to_json,
     dense_layer_matrix,
     level_state,
     max_amp_diff,
@@ -32,7 +33,6 @@ from qct.qcore import (
 from qct.qtree import (
     Layer,
     QuantumTree,
-    circuit_to_json,
     compile_tree,
     input_state,
     run,

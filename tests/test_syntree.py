@@ -1,8 +1,15 @@
 """Level construction, height, and rendering of syntactic trees."""
 
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import ast_depth, sentence_strategy
+from helpers import (
+    ast_depth,
+    chain_strategy,
+    reference_fold_levels,
+    reference_levels,
+    sentence_strategy,
+)
 from qct.lang import (
     FALSITY,
     Atom,
@@ -12,7 +19,9 @@ from qct.lang import (
     atoms_of,
     children,
     parse,
+    pretty_step,
 )
+from qct.qtree import _width_and_gate
 from qct.syntree import build_tree, render_tree
 
 P, Q = Atom("p"), Atom("q")
@@ -81,3 +90,23 @@ def test_every_level_preserves_atomic_complexity(s):
     n = atomic_complexity(s)
     for level in tree.levels:
         assert sum(atomic_complexity(node) for node in level) == n
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        sentence_strategy(max_leaves=30),
+        chain_strategy(max_terms=300),
+        st.sampled_from([P, FALSITY]),
+    )
+)
+def test_levels_and_folds_match_the_node_by_node_reference(s):
+    tree = build_tree(s)
+    levels = reference_levels(s)
+    assert tree.levels == levels
+    assert atoms_of(s) == levels[-1]
+    assert tree.inner == tuple(
+        tuple(i for i, node in enumerate(level) if children(node)) for level in levels
+    )
+    for combine in (pretty_step, _width_and_gate):
+        assert tree.fold_levels(combine) == reference_fold_levels(levels, combine)
